@@ -8,10 +8,15 @@ The broker subsystem's two pinned promises, written into
   uninterrupted run, a checkpoint/kill/resume cycle, *and* killed
   connections mid-run (1.0 = every arm identical).
 - ``broker_vs_queue_throughput`` (always): median paired ratio of
-  broker-fed over ``queue:``-fed wall time across interleaved rounds;
-  the floor of :data:`THROUGHPUT_FLOOR` bounds the cost of real
-  sockets, RESP2 framing and ack bookkeeping at ~20% versus the
-  in-process live-feed baseline.
+  broker-fed over ``queue:``-fed wall-clock throughput across
+  interleaved rounds; the floor of :data:`THROUGHPUT_FLOOR` bounds the
+  cost of real sockets, RESP2 framing and ack bookkeeping at ~20%
+  versus the in-process live-feed baseline.  Each round alternates
+  single pumps of the two arms until each has run for at least
+  :data:`ARM_SECONDS` (one 2000-window pump takes ~80 ms, and rounds
+  of one pump per arm measured ratios as low as 0.51), and every arm
+  also records ``time.process_time()`` so the artifact carries the
+  CPU-time ratio and both spreads next to the gated value.
 
 The feed is published with chunked entries
 (``rows_per_entry=ROWS_PER_ENTRY``) — the record batching a
@@ -49,6 +54,9 @@ N_WINDOWS = 2_000
 ROWS_PER_ENTRY = 16
 
 _ROUNDS = 7
+
+#: Minimum time each arm runs per round (seconds of repeated pumps).
+ARM_SECONDS = 1.0
 
 N_TYPES = 8
 
@@ -116,10 +124,25 @@ def _pump_queue(stream, seed=17):
     return asyncio.run(drive())
 
 
-def _timed(callable_):
-    start = time.perf_counter()
-    result = callable_()
-    return result, time.perf_counter() - start
+def _interleaved_round(*pumps):
+    """Run the arms' pumps alternately until each has run ARM_SECONDS.
+
+    Returns ``[pumps, wall_s, cpu_s]`` per arm: whole pumps, timed by
+    the wall clock and by process CPU time (all threads, so the broker
+    arm's in-process server counts too).  Alternating single pumps
+    (~80 ms each) keeps both arms under the same host speed, which on
+    a shared host drifts over seconds.
+    """
+    totals = [[0, 0.0, 0.0] for _ in pumps]
+    while min(total[1] for total in totals) < ARM_SECONDS:
+        for pump, total in zip(pumps, totals):
+            wall_start = time.perf_counter()
+            cpu_start = time.process_time()
+            pump(total[0])
+            total[0] += 1
+            total[1] += time.perf_counter() - wall_start
+            total[2] += time.process_time() - cpu_start
+    return totals
 
 
 class TestBrokerBench:
@@ -178,28 +201,63 @@ class TestBrokerBench:
             # -- throughput: interleaved paired rounds ----------------
             _pump_queue(stream)  # warm both arms' code paths
             _pump_broker(server.url, group="warm")
-            ratios, pairs = [], []
-            for index in range(_ROUNDS):
-                _, queue_s = _timed(lambda: _pump_queue(stream))
-                _, broker_s = _timed(
-                    lambda: _pump_broker(
-                        server.url, group=f"round{index}"
-                    )
+            rounds = [
+                _interleaved_round(
+                    lambda repeat: _pump_queue(stream),
+                    lambda repeat, index=index: _pump_broker(
+                        server.url, group=f"round{index}-{repeat}"
+                    ),
                 )
-                ratios.append(queue_s / broker_s)
-                pairs.append((queue_s, broker_s))
+                for index in range(_ROUNDS)
+            ]
+
+        def per_pump(arm, clock):
+            return arm[clock] / arm[0]
+
+        # Throughput ratio = broker windows/s over queue windows/s,
+        # i.e. queue seconds per pump over broker seconds per pump.
+        ratios = [
+            per_pump(queue, 1) / per_pump(broker, 1)
+            for queue, broker in rounds
+        ]
+        cpu_ratios = [
+            per_pump(queue, 2) / per_pump(broker, 2)
+            for queue, broker in rounds
+        ]
         throughput_ratio = paired_speedup(ratios)
 
         table = ResultTable(
-            ["round", "queue_s", "broker_s", "ratio"],
-            title="broker vs queue ingestion",
+            [
+                "round",
+                "queue_s",
+                "broker_s",
+                "ratio",
+                "queue_cpu_s",
+                "broker_cpu_s",
+                "cpu_ratio",
+            ],
+            title="broker vs queue ingestion (seconds per pump)",
         )
-        for index, (queue_s, broker_s) in enumerate(pairs):
+        rows = []
+        for index, (queue, broker) in enumerate(rounds):
+            row = {
+                "round": index,
+                "queue_s": per_pump(queue, 1),
+                "broker_s": per_pump(broker, 1),
+                "queue_cpu_s": per_pump(queue, 2),
+                "broker_cpu_s": per_pump(broker, 2),
+                "queue_pumps": queue[0],
+                "broker_pumps": broker[0],
+            }
+            rows.append(row)
             table.add_row(
                 round=index,
-                queue_s=round(queue_s, 4),
-                broker_s=round(broker_s, 4),
-                ratio=round(queue_s / broker_s, 4),
+                queue_s=round(row["queue_s"], 4),
+                broker_s=round(row["broker_s"], 4),
+                ratio=round(ratios[index], 4),
+                queue_cpu_s=round(row["queue_cpu_s"], 4),
+                broker_cpu_s=round(row["broker_cpu_s"], 4),
+                cpu_ratio=round(cpu_ratios[index], 4),
             )
         emit(table, results_dir, "broker_throughput")
 
@@ -209,29 +267,27 @@ class TestBrokerBench:
             "bit_identity": 1.0 if bit_identical else 0.0,
             "connection_faults_fired": faults_fired,
             "throughput_ratio": throughput_ratio,
+            "cpu_throughput_ratio": paired_speedup(cpu_ratios),
+            "arm_seconds_min": min(
+                arm[1] for pair in rounds for arm in pair
+            ),
             "broker_windows_per_second": (
-                N_WINDOWS / min(b for _, b in pairs)
+                N_WINDOWS / min(row["broker_s"] for row in rows)
             ),
             "queue_windows_per_second": (
-                N_WINDOWS / min(q for q, _ in pairs)
+                N_WINDOWS / min(row["queue_s"] for row in rows)
             ),
             "floor_enforced": True,
         }
         metrics.update(ratio_spread("throughput_ratio", ratios))
+        metrics.update(ratio_spread("cpu_throughput_ratio", cpu_ratios))
         for name, same in identity_rows:
             metrics[f"bit_identity_{name}"] = 1.0 if same else 0.0
         emit_json(
             results_dir,
             "broker",
             metrics,
-            rows=[
-                {
-                    "round": index,
-                    "queue_s": queue_s,
-                    "broker_s": broker_s,
-                }
-                for index, (queue_s, broker_s) in enumerate(pairs)
-            ],
+            rows=rows,
             gates={
                 "broker_bit_identity": {
                     "floor": 1.0,

@@ -46,7 +46,12 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.baselines.base import StreamMechanism
-from repro.runtime.decisions import DecisionRule, ScanConfig, WEventKernel
+from repro.runtime.decisions import (
+    TRACE_PENDING_MAX,
+    DecisionRule,
+    ScanConfig,
+    WEventKernel,
+)
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive, check_positive_int
@@ -62,10 +67,22 @@ class TraceColumn:
     million-timestamp traces stop paying per-element object overhead
     and the accounting accessors read straight numpy arrays.
 
-    Two additions the release kernel relies on:
+    Single appends land on a bounded pending Python list first and move
+    into the buffer in one slice assignment once
+    :data:`~repro.runtime.decisions.TRACE_PENDING_MAX` values wait or
+    anything reads the column — every accessor, ``extend*``,
+    assignment, equality, pickling and :attr:`version` flushes, so
+    readers (a scheduler hook handed the trace mid-block included)
+    always see the column current.  The conversion is exact: a float
+    or bool lands in the buffer as the same value either way.
+
+    Additions the release kernel relies on:
 
     - :meth:`extend_constant` appends ``count`` copies of one value
       without materializing a Python list (the bulk-skip paths);
+    - :attr:`push` is the pending list's own ``append`` — an unchecked
+      single append for a caller that calls :meth:`flush` at least once
+      every ``TRACE_PENDING_MAX`` pushes (the kernel's scalar path);
     - :attr:`version` counts mutations, letting
       :meth:`ReleaseTrace._spend_prefix` cache derived arrays and
       invalidate on any append/extend/restore.
@@ -75,7 +92,9 @@ class TraceColumn:
         self._dtype = np.dtype(dtype)
         self._data = np.zeros(0, dtype=self._dtype)
         self._n = 0
-        self.version = 0
+        self._version = 0
+        self._pending: List = []
+        self.push = self._pending.append
         if values is not None:
             self.extend(values)
 
@@ -88,16 +107,37 @@ class TraceColumn:
         grown[: self._n] = self._data[: self._n]
         self._data = grown
 
+    def flush(self) -> None:
+        """Move the pending appends into the buffer."""
+        pending = self._pending
+        if pending:
+            count = len(pending)
+            self._reserve(count)
+            self._data[self._n : self._n + count] = pending
+            self._n += count
+            pending.clear()
+            self._version += 1
+
     def _view(self) -> np.ndarray:
+        if self._pending:
+            self.flush()
         return self._data[: self._n]
 
+    @property
+    def version(self) -> int:
+        if self._pending:
+            self.flush()
+        return self._version
+
     def append(self, value) -> None:
-        self._reserve(1)
-        self._data[self._n] = value
-        self._n += 1
-        self.version += 1
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= TRACE_PENDING_MAX:
+            self.flush()
 
     def extend(self, values: Iterable) -> None:
+        if self._pending:
+            self.flush()
         if isinstance(values, TraceColumn):
             values = values._view()
         elif not isinstance(values, (np.ndarray, list, tuple)):
@@ -107,21 +147,23 @@ class TraceColumn:
             self._reserve(count)
             self._data[self._n : self._n + count] = values
             self._n += count
-        self.version += 1
+        self._version += 1
 
     def extend_constant(self, value, count: int) -> None:
         """Append ``count`` copies of ``value`` (one buffer fill)."""
+        if self._pending:
+            self.flush()
         if count:
             self._reserve(count)
             self._data[self._n : self._n + count] = value
             self._n += count
-        self.version += 1
+        self._version += 1
 
     def __len__(self) -> int:
-        return self._n
+        return self._n + len(self._pending)
 
     def __bool__(self) -> bool:
-        return self._n > 0
+        return self._n > 0 or bool(self._pending)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -132,11 +174,12 @@ class TraceColumn:
         if isinstance(key, slice) and key == slice(None, None, None):
             # Full-slice replacement (the restore path) may change the
             # length, exactly as ``list[:] = values`` does.
+            self._pending.clear()
             self._n = 0
             self.extend(value)
             return
         self._view()[key] = value
-        self.version += 1
+        self._version += 1
 
     def __iter__(self):
         return iter(self._view().tolist())
@@ -144,7 +187,7 @@ class TraceColumn:
     def __eq__(self, other) -> bool:
         if isinstance(other, TraceColumn):
             return (
-                self._n == other._n
+                len(self) == len(other)
                 and bool(np.array_equal(self._view(), other._view()))
             )
         if isinstance(other, (list, tuple)):
@@ -162,6 +205,18 @@ class TraceColumn:
         if copy:
             return view.copy()
         return view
+
+    def __getstate__(self) -> Dict:
+        if self._pending:
+            self.flush()
+        state = self.__dict__.copy()
+        del state["push"], state["_pending"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._pending = []
+        self.push = self._pending.append
 
     def tolist(self) -> List:
         return self._view().tolist()

@@ -74,9 +74,11 @@ def fit_allocation(
     """Run the bidirectional stepwise search of Algorithm 1.
 
     Starts from the uniform allocation (line 1), repeatedly tries moving
-    ``step_size`` of budget onto each element in turn (lines 6-9), and
-    commits the best move while it improves the estimated quality
-    (lines 10-12).
+    ``step_size`` of budget onto each element (lines 6-9) — scoring an
+    iteration's candidate moves in one
+    :meth:`~repro.core.quality_model.QualityEstimator.evaluate_many`
+    call — and commits the best move while it improves the estimated
+    quality (lines 10-12).
     """
     check_positive("epsilon", epsilon)
     if length <= 0:
@@ -103,13 +105,18 @@ def fit_allocation(
     iterations = 0
     converged = False
     while iterations < max_iterations:
-        best_quality = quality
-        best_allocation: Optional[BudgetAllocation] = None
+        candidates = []
         for index in range(length):
             candidate = allocation.with_move(index, step_size)
-            if candidate.epsilons == allocation.epsilons:
-                continue  # clamping absorbed the move
-            candidate_quality = estimator.evaluate(candidate).q
+            if candidate.epsilons != allocation.epsilons:
+                candidates.append(candidate)  # else clamping absorbed it
+        best_quality = quality
+        best_allocation: Optional[BudgetAllocation] = None
+        # One batched estimate per iteration; the scan keeps the first
+        # strictly best candidate, as evaluating them in turn did.
+        for candidate, candidate_quality in zip(
+            candidates, estimator.evaluate_many(candidates)
+        ):
             if candidate_quality > best_quality + _IMPROVEMENT_TOLERANCE:
                 best_quality = candidate_quality
                 best_allocation = candidate

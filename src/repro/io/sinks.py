@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.io.registry import register_sink
-from repro.obs.metrics import Counter, default_registry
+from repro.obs.metrics import Counter, registry_handles
 from repro.service.specgrammar import SpecKey
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
@@ -60,6 +60,20 @@ def write_indicator_csv(
             sink.write(index, matrix[index], {})
     finally:
         sink.close()
+
+
+def _windows_total(registry) -> Counter:
+    return registry.counter(
+        "repro_sink_windows_total",
+        "Windows egressed through any sink, process-wide.",
+    )
+
+
+def _shed_total(registry) -> Counter:
+    return registry.counter(
+        "repro_sink_shed_windows_total",
+        "Windows shed at ingress before any sink, process-wide.",
+    )
 
 
 class StreamSink:
@@ -147,10 +161,7 @@ class StreamSink:
         if self._shed_counter is None:
             self._shed_counter = Counter("windows_shed")
         self._shed_counter.inc()
-        default_registry().counter(
-            "repro_sink_shed_windows_total",
-            "Windows shed at ingress before any sink, process-wide.",
-        ).inc()
+        registry_handles(_shed_total).inc()
 
     def write(
         self,
@@ -163,10 +174,7 @@ class StreamSink:
         self.alphabet  # open check
         self._write(index, np.asarray(row).reshape(-1), answers, truth)
         self._written_counter.inc()
-        default_registry().counter(
-            "repro_sink_windows_total",
-            "Windows egressed through any sink, process-wide.",
-        ).inc()
+        registry_handles(_windows_total).inc()
 
     def _write(self, index, row, answers, truth) -> None:
         raise NotImplementedError

@@ -28,7 +28,16 @@ import re
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 __all__ = [
     "Counter",
@@ -37,6 +46,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "default_registry",
+    "registry_handles",
     "set_default_registry",
     "use_registry",
 ]
@@ -267,6 +277,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
+        # Handles resolved once per build function (registry_handles).
+        self._handles: Dict[Callable, object] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Metric:
         with self._lock:
@@ -280,15 +292,17 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as {metric.kind}, "
                 f"not {cls.kind}"
             )
-        if (
-            cls is Histogram
-            and "buckets" in kwargs
-            and tuple(float(b) for b in kwargs["buckets"]) != metric.buckets
-        ):
-            raise ValueError(
-                f"histogram {name!r} already registered with different "
-                f"buckets"
-            )
+        if cls is Histogram and "buckets" in kwargs:
+            buckets = tuple(kwargs["buckets"])
+            # Callers normally pass the very tuple they registered
+            # with; only a mismatch pays the float normalisation.
+            if buckets != metric.buckets and (
+                tuple(float(b) for b in buckets) != metric.buckets
+            ):
+                raise ValueError(
+                    f"histogram {name!r} already registered with "
+                    f"different buckets"
+                )
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
@@ -445,6 +459,30 @@ _default_registry = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-wide default registry instrumented code reports to."""
     return _default_registry
+
+
+_Handles = TypeVar("_Handles")
+
+
+def registry_handles(
+    build: Callable[[MetricsRegistry], _Handles],
+) -> _Handles:
+    """``build(default_registry())``, resolved once per registry.
+
+    Hot paths that report into the default registry per block or per
+    window call this instead of looking each metric up by name: the
+    handles ``build`` returns are cached on the registry object itself,
+    keyed by ``build``, so a repeat lookup is one dict hit.  The cache
+    follows the *current* default registry — a scoped
+    :func:`use_registry` (or a cluster worker's per-task registry) gets
+    its own handles on first use.
+    """
+    registry = _default_registry
+    try:
+        return registry._handles[build]
+    except KeyError:
+        handles = registry._handles[build] = build(registry)
+        return handles
 
 
 def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:

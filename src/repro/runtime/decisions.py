@@ -63,7 +63,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import registry_handles
 
 __all__ = [
     "BOUNDARY",
@@ -92,17 +92,15 @@ SCAN_MODES = ("margin", "exact", "off")
 _SEGMENT_BUCKETS = tuple(float(2**i) for i in range(14))
 
 
-def _kernel_telemetry():
-    """The decision kernels' counters, fetched from the *current*
-    default registry per block.
+def _kernel_telemetry(registry):
+    """The decision kernels' counters and segment histogram.
 
-    Resolved lazily (not cached on the kernel) so a kernel pickled
-    into a cluster worker reports into that worker's per-task registry
-    — the increments then ride the ``_METRICS`` frame back to the
-    parent.  Three dict lookups per block, amortized over the block's
-    rows.
+    Resolved through :func:`~repro.obs.metrics.registry_handles` once
+    per block: cached per registry object rather than on the kernel,
+    so a kernel pickled into a cluster worker reports into that
+    worker's per-task registry — the increments then ride the
+    ``_METRICS`` frame back to the parent.
     """
-    registry = default_registry()
     return (
         registry.counter(
             "repro_decisions_certified_rows_total",
@@ -123,6 +121,24 @@ def _kernel_telemetry():
         ),
     )
 
+
+def _count_rows(
+    telemetry, certified: int, boundary: int, zero_budget: int
+) -> None:
+    """Add one block's row tallies to the kernel counters.
+
+    The kernels tally rows in locals and settle them here once per
+    block, not with one ``inc`` per row.
+    """
+    obs_certified, obs_boundary, obs_zero_budget, _ = telemetry
+    if certified:
+        obs_certified.inc(certified)
+    if boundary:
+        obs_boundary.inc(boundary)
+    if zero_budget:
+        obs_zero_budget.inc(zero_budget)
+
+
 #: Upper bound on one scan segment's row count.  Segments double from
 #: the prefetch granularity while the stream stays skip-only and are
 #: invalidated at every publication, so the bound caps the vector work
@@ -139,7 +155,15 @@ _SCAN_SEGMENT_MAX = 8192
 #: the scan once skips persist, which is exactly when certified runs
 #: get long enough to win (measured: 16 holds publish-dense BD/BA at
 #: scalar parity while still catching every budget-depleted stretch).
+#: Landmark counts the warm-up in landmark steps.
 _SCAN_WARMUP = 16
+
+#: Most values a release-trace column
+#: (:class:`~repro.baselines.w_event.TraceColumn`) holds on its pending
+#: Python list before moving them into its numpy buffer.  The w-event
+#: kernel's scalar step pushes unchecked and flushes every this many
+#: rows, so the pending lists stay bounded by a constant.
+TRACE_PENDING_MAX = 256
 
 
 class ScanMarginError(RuntimeError):
@@ -408,6 +432,8 @@ class WEventKernel:
         self.sensitivity = sensitivity
         self.scale = dissimilarity_scale
         self.charge = dissimilarity_charge
+        # Unchecked pushes left before the trace columns must flush.
+        self._trace_room = TRACE_PENDING_MAX
 
     # -- resolve -------------------------------------------------------
 
@@ -454,87 +480,98 @@ class WEventKernel:
         seg_stops: Optional[np.ndarray] = None
         cooldown = 0
         row = 0
-        (
-            obs_certified,
-            obs_boundary,
-            obs_zero_budget,
-            obs_segments,
-        ) = _kernel_telemetry()
-        while row < n:
-            last_release = host.last_release
-            if last_release is not None:
-                skip = min(
-                    rule.zero_budget_until(host.t, state) - host.t,
-                    n - row,
-                )
-                if skip > 0:
-                    # Zero budget, data-independent: approximate in
-                    # bulk (no randomness is consumed here).
-                    if released is not None:
-                        released[row : row + skip] = last_release
-                    published.extend_constant(False, skip)
-                    publication_budgets.extend_constant(0.0, skip)
-                    dissimilarity_budgets.extend_constant(charge, skip)
-                    obs_zero_budget.inc(skip)
-                    host.t += skip
-                    row += skip
-                    continue
-                if scanning and cooldown == 0:
-                    if seg_stops is None or row < seg_row:
-                        chunk = config.prefetch_min
-                    elif row >= seg_stop:
-                        # The previous segment was consumed without a
-                        # publication: the stream is in a stable
-                        # stretch, so scan farther ahead this time.
-                        chunk = min(chunk * 2, _SCAN_SEGMENT_MAX)
-                        seg_stops = None
-                    if seg_stops is None:
-                        seg_row = row
-                        seg_stop = min(n, row + chunk)
-                        seg_stops = self._scan_segment(
-                            host, matrix, uniforms, row, seg_stop
-                        )
+        telemetry = registry_handles(_kernel_telemetry)
+        # Row tallies and the trace columns' pending room live in
+        # locals and are settled once per block.
+        certified = boundary = zero_budget = 0
+        room = self._trace_room
+        try:
+            while row < n:
+                last_release = host.last_release
+                if last_release is not None:
+                    skip = min(
+                        rule.zero_budget_until(host.t, state) - host.t,
+                        n - row,
+                    )
+                    if skip > 0:
+                        # Zero budget, data-independent: approximate in
+                        # bulk (no randomness is consumed here).
+                        if released is not None:
+                            released[row : row + skip] = last_release
+                        published.extend_constant(False, skip)
+                        publication_budgets.extend_constant(0.0, skip)
+                        dissimilarity_budgets.extend_constant(charge, skip)
+                        zero_budget += skip
+                        host.t += skip
+                        row += skip
+                        continue
+                    if scanning and cooldown == 0:
+                        if seg_stops is None or row < seg_row:
+                            chunk = config.prefetch_min
+                        elif row >= seg_stop:
+                            # The previous segment was consumed without a
+                            # publication: the stream is in a stable
+                            # stretch, so scan farther ahead this time.
+                            chunk = min(chunk * 2, _SCAN_SEGMENT_MAX)
+                            seg_stops = None
                         if seg_stops is None:
-                            # No vectorized schedule: scalar loop.
-                            scanning = False
-                        else:
-                            obs_segments.observe(seg_stop - row)
-                    if seg_stops is not None:
-                        run = self._certified_run(
-                            seg_stops, seg_row, row, seg_stop
-                        )
-                        if run > 0:
-                            if config.audit:
-                                self._audit_run(
-                                    host, matrix, uniforms, row, run
+                            seg_row = row
+                            seg_stop = min(n, row + chunk)
+                            seg_stops = self._scan_segment(
+                                host, matrix, uniforms, row, seg_stop
+                            )
+                            if seg_stops is None:
+                                # No vectorized schedule: scalar loop.
+                                scanning = False
+                            else:
+                                telemetry[3].observe(seg_stop - row)
+                        if seg_stops is not None:
+                            run = self._certified_run(
+                                seg_stops, seg_row, row, seg_stop
+                            )
+                            if run > 0:
+                                if config.audit:
+                                    self._audit_run(
+                                        host, matrix, uniforms, row, run
+                                    )
+                                if released is not None:
+                                    released[row : row + run] = last_release
+                                published.extend_constant(False, run)
+                                publication_budgets.extend_constant(0.0, run)
+                                dissimilarity_budgets.extend_constant(
+                                    charge, run
                                 )
-                            if released is not None:
-                                released[row : row + run] = last_release
-                            published.extend_constant(False, run)
-                            publication_budgets.extend_constant(0.0, run)
-                            dissimilarity_budgets.extend_constant(
-                                charge, run
-                            )
-                            rule.after_skip_run(
-                                host.t + run - 1, trace, state
-                            )
-                            obs_certified.inc(run)
-                            host.t += run
-                            row += run
-                            continue
-            published_now = self._exact_step(
-                host, matrix, released, row, uniforms
-            )
-            obs_boundary.inc()
-            if published_now:
-                # The publication changed the budget schedule and the
-                # reference release; certified verdicts past this row
-                # are stale.
-                seg_stops = None
-                cooldown = _SCAN_WARMUP
-            elif cooldown:
-                cooldown -= 1
-            row += 1
+                                rule.after_skip_run(
+                                    host.t + run - 1, trace, state
+                                )
+                                certified += run
+                                host.t += run
+                                row += run
+                                continue
+                published_now = self._exact_step(
+                    host, matrix, released, row, uniforms
+                )
+                boundary += 1
+                room -= 1
+                if not room:
+                    # _exact_step pushes one unchecked value per column;
+                    # flush before the pending lists outgrow their bound.
+                    published.flush()
+                    publication_budgets.flush()
+                    dissimilarity_budgets.flush()
+                    room = TRACE_PENDING_MAX
+                if published_now:
+                    # The publication changed the budget schedule and the
+                    # reference release; certified verdicts past this row
+                    # are stale.
+                    seg_stops = None
+                    cooldown = _SCAN_WARMUP
+                elif cooldown:
+                    cooldown -= 1
+                row += 1
+        finally:
+            self._trace_room = room
+            _count_rows(telemetry, certified, boundary, zero_budget)
 
     def _scan_segment(
         self, host, matrix, uniforms, row: int, stop: int
@@ -665,7 +702,7 @@ class WEventKernel:
                 / self.n_types
             )
             publish = true_distance + noise > self.sensitivity / budget
-        trace.dissimilarity_budgets.append(self.charge)
+        trace.dissimilarity_budgets.push(self.charge)
         if publish:
             if rng_t is None:
                 rng_t = host._children.generator(host.t)
@@ -677,16 +714,16 @@ class WEventKernel:
                 0.0, self.sensitivity / budget, size=self.n_types
             )
             host.last_release = matrix[row] + noise_vector
-            trace.published.append(True)
-            trace.publication_budgets.append(budget)
+            trace.published.push(True)
+            trace.publication_budgets.push(budget)
             rule.after_publication(host.t, budget, trace, state)
         else:
             if last_release is None:
                 # Nothing released yet and no budget: emit pure noise
                 # around 1/2 so the output is data-independent.
                 host.last_release = np.full(self.n_types, 0.5)
-            trace.published.append(False)
-            trace.publication_budgets.append(0.0)
+            trace.published.push(False)
+            trace.publication_budgets.push(0.0)
         if released is not None:
             released[row] = host.last_release
         host.t += 1
@@ -797,6 +834,8 @@ class LandmarkKernel:
       so certified-skip landmarks are bulk-applied with no generator
       touches and only boundary/publishing landmarks fall back to the
       scalar :meth:`~repro.baselines.landmark.LandmarkReleaser._advance`.
+      After a publication the kernel takes :data:`_SCAN_WARMUP` scalar
+      landmark steps before it rescans, as :class:`WEventKernel` does.
     """
 
     def __init__(self, config: ScanConfig):
@@ -852,124 +891,128 @@ class LandmarkKernel:
         seg_stops: Optional[np.ndarray] = None
         ordinal = 0  # landmark rows consumed so far
         row = 0
-        (
-            obs_certified,
-            obs_boundary,
-            _obs_zero_budget,
-            obs_segments,
-        ) = _kernel_telemetry()
-        while row < n:
-            if row >= limit:
-                # Replicate _advance's bounds error (state already
-                # advanced through the in-mask prefix, as stepping
-                # would have).
-                raise ValueError(
-                    f"landmark mask covers {mask.shape[0]} windows; "
-                    f"cannot step past it (t={host.t})"
-                )
-            if not block_mask[row]:
-                # Regular rows: individual budget, no state coupling.
-                if released is None:
-                    # Prepass: the draws are discarded and the state
-                    # untouched — hop to the next landmark row.
-                    position = np.searchsorted(landmark_rows, row)
-                    hop = (
-                        int(landmark_rows[position]) - row
-                        if position < landmark_rows.shape[0]
-                        else min(n, limit) - row
+        cooldown = 0
+        telemetry = registry_handles(_kernel_telemetry)
+        certified = boundary = 0
+        try:
+            while row < n:
+                if row >= limit:
+                    # Replicate _advance's bounds error (state already
+                    # advanced through the in-mask prefix, as stepping
+                    # would have).
+                    raise ValueError(
+                        f"landmark mask covers {mask.shape[0]} windows; "
+                        f"cannot step past it (t={host.t})"
                     )
-                    host.t += hop
-                    row += hop
+                if not block_mask[row]:
+                    # Regular rows: individual budget, no state coupling.
+                    if released is None:
+                        # Prepass: the draws are discarded and the state
+                        # untouched — hop to the next landmark row.
+                        position = np.searchsorted(landmark_rows, row)
+                        hop = (
+                            int(landmark_rows[position]) - row
+                            if position < landmark_rows.shape[0]
+                            else min(n, limit) - row
+                        )
+                        host.t += hop
+                        row += hop
+                        continue
+                    rng_t = host._children.generator(host.t)
+                    released[row] = matrix[row] + rng_t.laplace(
+                        0.0, regular_scale, size=n_types
+                    )
+                    host.t += 1
+                    row += 1
                     continue
-                rng_t = host._children.generator(host.t)
-                released[row] = matrix[row] + rng_t.laplace(
-                    0.0, regular_scale, size=n_types
+                # Landmark row.
+                scannable = (
+                    uniforms is not None
+                    and host.last_release is not None
+                    and host._n_landmarks > 0
                 )
-                host.t += 1
-                row += 1
-                continue
-            # Landmark row.
-            scannable = (
-                uniforms is not None
-                and host.last_release is not None
-                and host._n_landmarks > 0
-            )
-            if scannable:
-                if seg_stops is None or ordinal < seg_ordinal:
-                    chunk = config.prefetch_min
-                elif ordinal >= seg_end:
-                    # Segment consumed without a publication: scan
-                    # farther ahead this time.
-                    chunk = min(chunk * 2, _SCAN_SEGMENT_MAX)
-                    seg_stops = None
-                if seg_stops is None:
-                    seg_ordinal = ordinal
-                    seg_end = min(landmark_rows.shape[0], ordinal + chunk)
-                    obs_segments.observe(seg_end - ordinal)
-                    seg_stops = self._scan_landmarks(
-                        host,
-                        matrix,
-                        uniforms,
-                        landmark_rows[ordinal:seg_end],
-                        sensitivity,
-                        uniform_scale,
-                    )
-                run = WEventKernel._certified_run(
-                    seg_stops,
-                    seg_ordinal,
-                    ordinal,
-                    seg_end,
-                )
-                if run > 0:
-                    stop_row = (
-                        int(landmark_rows[ordinal + run])
-                        if ordinal + run < landmark_rows.shape[0]
-                        else min(n, limit)
-                    )
-                    if config.audit:
-                        self._audit_landmarks(
+                if scannable and cooldown == 0:
+                    if seg_stops is None or ordinal < seg_ordinal:
+                        chunk = config.prefetch_min
+                    elif ordinal >= seg_end:
+                        # Segment consumed without a publication: scan
+                        # farther ahead this time.
+                        chunk = min(chunk * 2, _SCAN_SEGMENT_MAX)
+                        seg_stops = None
+                    if seg_stops is None:
+                        seg_ordinal = ordinal
+                        seg_end = min(landmark_rows.shape[0], ordinal + chunk)
+                        telemetry[3].observe(seg_end - ordinal)
+                        seg_stops = self._scan_landmarks(
                             host,
                             matrix,
                             uniforms,
-                            landmark_rows[ordinal : ordinal + run],
+                            landmark_rows[ordinal:seg_end],
                             sensitivity,
                             uniform_scale,
                         )
-                    # Bulk-apply the certified-skip landmarks (zero
-                    # draws) and release the interleaved regular rows.
-                    span_rows = landmark_rows[ordinal : ordinal + run]
-                    if released is not None:
-                        released[span_rows] = host.last_release
-                        for regular in range(row, stop_row):
-                            if block_mask[regular]:
-                                continue
-                            rng_t = host._children.generator(t0 + regular)
-                            released[regular] = matrix[regular] + (
-                                rng_t.laplace(
-                                    0.0, regular_scale, size=n_types
-                                )
-                            )
-                    # The per-step clamp max(0, left - 1) composes to
-                    # one clamped subtraction over the run.
-                    host._landmarks_left = max(
-                        0, host._landmarks_left - run
+                    run = WEventKernel._certified_run(
+                        seg_stops,
+                        seg_ordinal,
+                        ordinal,
+                        seg_end,
                     )
-                    obs_certified.inc(run)
-                    host.t = t0 + stop_row
-                    row = stop_row
-                    ordinal += run
-                    continue
-            remaining_before = host._remaining_publication
-            value = host._advance(matrix[row])
-            obs_boundary.inc()
-            if released is not None:
-                released[row] = value
-            if host._remaining_publication != remaining_before:
-                # A publication moved the budget thread; certified
-                # verdicts past this landmark are stale.
-                seg_stops = None
-            ordinal += 1
-            row += 1
+                    if run > 0:
+                        stop_row = (
+                            int(landmark_rows[ordinal + run])
+                            if ordinal + run < landmark_rows.shape[0]
+                            else min(n, limit)
+                        )
+                        if config.audit:
+                            self._audit_landmarks(
+                                host,
+                                matrix,
+                                uniforms,
+                                landmark_rows[ordinal : ordinal + run],
+                                sensitivity,
+                                uniform_scale,
+                            )
+                        # Bulk-apply the certified-skip landmarks (zero
+                        # draws) and release the interleaved regular rows.
+                        span_rows = landmark_rows[ordinal : ordinal + run]
+                        if released is not None:
+                            released[span_rows] = host.last_release
+                            for regular in range(row, stop_row):
+                                if block_mask[regular]:
+                                    continue
+                                rng_t = host._children.generator(t0 + regular)
+                                released[regular] = matrix[regular] + (
+                                    rng_t.laplace(
+                                        0.0, regular_scale, size=n_types
+                                    )
+                                )
+                        # The per-step clamp max(0, left - 1) composes to
+                        # one clamped subtraction over the run.
+                        host._landmarks_left = max(
+                            0, host._landmarks_left - run
+                        )
+                        certified += run
+                        host.t = t0 + stop_row
+                        row = stop_row
+                        ordinal += run
+                        continue
+                remaining_before = host._remaining_publication
+                value = host._advance(matrix[row])
+                boundary += 1
+                if released is not None:
+                    released[row] = value
+                if host._remaining_publication != remaining_before:
+                    # A publication moved the budget thread; certified
+                    # verdicts past this landmark are stale, and
+                    # rescanning waits out the warm-up as in WEventKernel.
+                    seg_stops = None
+                    cooldown = _SCAN_WARMUP
+                elif cooldown:
+                    cooldown -= 1
+                ordinal += 1
+                row += 1
+        finally:
+            _count_rows(telemetry, certified, boundary, 0)
 
     def _landmark_nominals(self, host, count: int) -> np.ndarray:
         """Exact nominal budgets for the next ``count`` landmark rows.

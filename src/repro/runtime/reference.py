@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.quality_model import QualityEstimator
 from repro.mechanisms.laplace import laplace_noise
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike, derive_rng
@@ -134,11 +135,13 @@ def reference_landmark_perturb(
     return stream.with_matrix(released >= 0.5)
 
 
-class ReferenceAnalyticEstimator:
+class ReferenceAnalyticEstimator(QualityEstimator):
     """The seed implementation of the analytic quality estimator.
 
     Re-extracts the per-element indicator columns on every candidate
-    evaluation, as the seed did; float-identical to the vectorized
+    evaluation, as the seed did, and scores Algorithm 1's candidates one
+    at a time (the inherited ``evaluate_many`` loop); float-identical to
+    the batched
     :class:`~repro.core.quality_model.AnalyticQualityEstimator`.
     """
 

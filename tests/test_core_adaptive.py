@@ -1,16 +1,29 @@
 """Tests for repro.core.adaptive — Algorithm 1."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cep.patterns import Pattern
 from repro.core.adaptive import (
     AdaptivePatternPPM,
+    _IMPROVEMENT_TOLERANCE,
     default_step_size,
     fit_allocation,
 )
 from repro.core.budget import BudgetAllocation
-from repro.core.quality_model import AnalyticQualityEstimator
+from repro.core.quality_model import (
+    AnalyticQualityEstimator,
+    MonteCarloQualityEstimator,
+)
 from repro.core.uniform import UniformPatternPPM
+from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
+from repro.experiments import ExperimentConfig
+from repro.mechanisms.randomized_response import epsilon_to_flip_probability
+from repro.metrics.quality import quality_score
+from repro.streams.indicator import EventAlphabet, IndicatorStream
+from repro.utils.rng import derive_rng
 
 
 class TestDefaultStepSize:
@@ -151,3 +164,169 @@ class TestAdaptivePatternPPM:
             AdaptivePatternPPM.fit(
                 private_pattern, 1.0, stream200, [target_pattern], alpha=1.5
             )
+
+
+# ---------------------------------------------------------------------------
+# Batched candidate scoring
+# ---------------------------------------------------------------------------
+
+
+def scalar_quality(estimator, allocation):
+    """``Q`` by the one-allocation arithmetic, target by target.
+
+    An independent spelling of the analytic model: per-type flips
+    pooled in element order, an ``(N, k)`` presence matrix per target,
+    its row products and the TP/FP sums as 1-D reductions, counts added
+    across targets from ``0.0``.
+    """
+    totals = {}
+    for element, epsilon in zip(
+        estimator.private_pattern.elements, allocation.epsilons
+    ):
+        totals[element] = totals.get(element, 0.0) + epsilon
+    flip_by_type = {
+        element: epsilon_to_flip_probability(total)
+        for element, total in totals.items()
+    }
+    matrix = estimator.history.matrix_view()
+    tp_total = fp_total = fn_total = 0.0
+    for pattern in estimator.target_patterns:
+        distinct = list(dict.fromkeys(pattern.elements))
+        columns = estimator.history.alphabet.indices(distinct)
+        floats = matrix[:, columns].astype(float)
+        truth = matrix[:, columns].all(axis=1)
+        flips = np.array(
+            [flip_by_type.get(element, 0.0) for element in distinct]
+        )
+        presence = floats * (1.0 - flips) + (1.0 - floats) * flips
+        detection = presence.prod(axis=1)
+        tp = float(detection[truth].sum())
+        fp = float(detection[~truth].sum())
+        tp_total += tp
+        fp_total += fp
+        fn_total += float(truth.sum()) - tp
+    precision = 1.0 if tp_total + fp_total == 0 else tp_total / (
+        tp_total + fp_total
+    )
+    recall = 1.0 if tp_total + fn_total == 0 else tp_total / (
+        tp_total + fn_total
+    )
+    return quality_score(precision, recall, estimator.alpha)
+
+
+def reference_fit(epsilon, length, estimator, max_iterations=200):
+    """Algorithm 1 scoring one candidate at a time (the spec)."""
+    step_size = default_step_size(epsilon, length)
+    allocation = BudgetAllocation.uniform(epsilon, length)
+    quality = estimator.evaluate(allocation).q
+    trace = [quality]
+    iterations = 0
+    converged = length == 1
+    while not converged and iterations < max_iterations:
+        best_quality, best_allocation = quality, None
+        for index in range(length):
+            candidate = allocation.with_move(index, step_size)
+            if candidate.epsilons == allocation.epsilons:
+                continue
+            candidate_quality = estimator.evaluate(candidate).q
+            if candidate_quality > best_quality + _IMPROVEMENT_TOLERANCE:
+                best_quality, best_allocation = candidate_quality, candidate
+        if best_allocation is None:
+            converged = True
+            break
+        allocation, quality = best_allocation, best_quality
+        trace.append(quality)
+        iterations += 1
+    return allocation, trace, iterations, converged
+
+
+BATCH_ALPHABET = EventAlphabet.numbered(5)
+
+
+def batch_history(seed, n_windows=150):
+    rng = np.random.default_rng(seed)
+    rates = rng.random(5) * 0.8 + 0.1
+    return IndicatorStream(
+        BATCH_ALPHABET, rng.random((n_windows, 5)) < rates
+    )
+
+
+#: A private pattern with a repeated type (budgets pool per type) and
+#: targets touching protected and unprotected columns.
+BATCH_PRIVATE = Pattern.of_types("p", "e1", "e2", "e1", "e4")
+BATCH_TARGETS = [
+    Pattern.of_types("t1", "e2", "e3"),
+    Pattern.of_types("t2", "e1", "e4", "e5"),
+]
+
+allocation_rows = st.lists(
+    st.lists(
+        st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+        min_size=4,
+        max_size=4,
+    ),
+    min_size=0,
+    max_size=6,
+)
+
+
+class TestBatchedCandidates:
+    @given(
+        rows=allocation_rows,
+        seed=st.integers(min_value=0, max_value=10_000),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_many_equals_evaluate_exactly(self, rows, seed, alpha):
+        estimator = AnalyticQualityEstimator(
+            batch_history(seed), BATCH_PRIVATE, BATCH_TARGETS, alpha=alpha
+        )
+        candidates = [BudgetAllocation(row) for row in rows]
+        batched = estimator.evaluate_many(candidates)
+        assert batched == [
+            estimator.evaluate(candidate).q for candidate in candidates
+        ]
+        assert batched == [
+            scalar_quality(estimator, candidate) for candidate in candidates
+        ]
+
+    def test_default_evaluate_many_loops_over_evaluate(self, stream200):
+        private = Pattern.of_types("private", "e1", "e2")
+        target = Pattern.of_types("target", "e2", "e3")
+        estimator = MonteCarloQualityEstimator(
+            stream200, private, [target], n_trials=3, rng=5
+        )
+        candidates = [
+            BudgetAllocation((0.5, 1.5)),
+            BudgetAllocation((1.0, 1.0)),
+        ]
+        assert estimator.evaluate_many(candidates) == [
+            estimator.evaluate(candidate).q for candidate in candidates
+        ]
+
+    @pytest.mark.parametrize("dataset", range(5))
+    def test_fit_matches_reference_loop_on_fig4_datasets(self, dataset):
+        workload = synthesize_dataset(
+            SyntheticConfig(n_windows=500, n_history_windows=300),
+            rng=derive_rng(
+                ExperimentConfig().seed, "synthetic-workload", dataset
+            ),
+        )
+        for pattern in workload.private_patterns:
+            estimator = AnalyticQualityEstimator(
+                workload.history, pattern, workload.target_patterns
+            )
+            length = len(pattern.elements)
+            for epsilon in ExperimentConfig().epsilon_grid:
+                result = fit_allocation(epsilon, length, estimator)
+                allocation, trace, iterations, converged = reference_fit(
+                    epsilon, length, estimator
+                )
+                assert result.allocation.epsilons == allocation.epsilons
+                assert result.quality_trace == trace
+                assert result.iterations == iterations
+                assert result.converged == converged
+                assert trace[0] == scalar_quality(
+                    estimator, BudgetAllocation.uniform(epsilon, length)
+                )
+                assert trace[-1] == scalar_quality(estimator, allocation)

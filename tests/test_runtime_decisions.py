@@ -456,3 +456,168 @@ class TestSpendPrefixCache:
         assert trace.spent_in_window(2, 2) == pytest.approx(
             0.25 + 1.0 + 2 * 0.1
         )
+
+
+# ---------------------------------------------------------------------------
+# Buffered trace columns and per-block row counters
+# ---------------------------------------------------------------------------
+
+
+class _TraceCheckingHooks:
+    """Scheduler hooks that assert the trace is current when called.
+
+    The kernel's scalar step pushes trace values onto the columns'
+    pending lists; every reader must still see all of them.
+    """
+
+    def _publication_budget(self, t, trace, state):
+        lengths = {
+            len(trace.published),
+            len(trace.publication_budgets),
+            len(trace.dissimilarity_budgets),
+        }
+        assert len(lengths) == 1
+        (length,) = lengths
+        if self.scan_config.audit:
+            # The audit walks a certified run before committing it.
+            assert length <= t
+        else:
+            assert length == t
+        # A read through the buffer sees every pending push.
+        assert np.asarray(trace.dissimilarity_budgets).shape == (length,)
+        return super()._publication_budget(t, trace, state)
+
+    def _after_publication(self, t, budget, trace, state):
+        # Called once row t's values are in the trace.
+        assert (
+            len(trace.published)
+            == len(trace.publication_budgets)
+            == len(trace.dissimilarity_budgets)
+            == t + 1
+        )
+        assert trace.published[t] is True
+        assert trace.publication_budgets[t] == budget
+        super()._after_publication(t, budget, trace, state)
+
+
+class CheckedBD(_TraceCheckingHooks, BudgetDistribution):
+    pass
+
+
+class CheckedBA(_TraceCheckingHooks, BudgetAbsorption):
+    pass
+
+
+ROW_COUNT_ROWS = 400
+
+
+def row_count_matrix():
+    """Random rows around a long constant stretch: every row kind."""
+    rng = np.random.default_rng(5)
+    matrix = (rng.random((ROW_COUNT_ROWS, N_TYPES)) < 0.5).astype(float)
+    matrix[100:260] = matrix[100]
+    return matrix
+
+
+def kernel_row_counts(cls, scan, block):
+    """(certified, boundary, zero-budget) rows counted over one run."""
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    matrix = row_count_matrix()
+    releaser = cls(1.0, w=12, scan=scan).online_releaser(
+        N_TYPES, rng=21, horizon=ROW_COUNT_ROWS
+    )
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        released = np.vstack(
+            [
+                releaser.step_block(matrix[row : row + block])
+                for row in range(0, ROW_COUNT_ROWS, block)
+            ]
+        )
+    counts = tuple(
+        int(registry.counter(f"repro_decisions_{kind}_rows_total").value)
+        for kind in ("certified", "boundary", "zero_budget")
+    )
+    return counts, released, releaser.trace
+
+
+#: (certified, boundary, zero-budget) rows for :func:`row_count_matrix`,
+#: as counted when the kernel still incremented its counters per row —
+#: tallying per block must report exactly these.
+EXPECTED_ROW_COUNTS = {
+    ("bd", "off"): {b: (0, 400, 0) for b in (1, 31, 32, 33)},
+    ("bd", "margin"): {
+        1: (0, 400, 0), 31: (0, 400, 0), 32: (25, 375, 0), 33: (27, 373, 0)
+    },
+    ("ba", "off"): {b: (0, 231, 169) for b in (1, 31, 32, 33)},
+    ("ba", "margin"): {
+        1: (0, 231, 169),
+        31: (0, 231, 169),
+        32: (21, 210, 169),
+        33: (30, 201, 169),
+    },
+}
+# Audit mode certifies exactly what margin mode certifies.
+EXPECTED_ROW_COUNTS[("bd", "exact")] = EXPECTED_ROW_COUNTS[("bd", "margin")]
+EXPECTED_ROW_COUNTS[("ba", "exact")] = EXPECTED_ROW_COUNTS[("ba", "margin")]
+
+
+class TestBufferedTraceAndRowCounters:
+    @pytest.mark.parametrize("block", [1, 31, 32, 33])
+    @pytest.mark.parametrize("scan", ["off", "margin", "exact"])
+    @pytest.mark.parametrize(
+        "name, cls", [("bd", CheckedBD), ("ba", CheckedBA)]
+    )
+    def test_hooks_see_current_trace_and_rows_add_up(
+        self, name, cls, scan, block
+    ):
+        counts, released, trace = kernel_row_counts(cls, scan, block)
+        assert sum(counts) == ROW_COUNT_ROWS
+        assert counts == EXPECTED_ROW_COUNTS[(name, scan)][block]
+        # Same release and trace as one unchecked block with scan=off.
+        plain = (BudgetDistribution if name == "bd" else BudgetAbsorption)(
+            1.0, w=12, scan="off"
+        ).online_releaser(N_TYPES, rng=21, horizon=ROW_COUNT_ROWS)
+        assert np.array_equal(
+            released, plain.step_block(row_count_matrix())
+        )
+        assert trace == plain.trace
+
+    def test_pending_appends_stay_bounded(self):
+        n = 3 * decisions_module.TRACE_PENDING_MAX + 5
+        releaser = BudgetDistribution(1.0, w=12, scan="off").online_releaser(
+            N_TYPES, rng=2, horizon=n
+        )
+        matrix = np.random.default_rng(0).random((n, N_TYPES))
+        for row in range(n):
+            releaser.step(matrix[row])
+            for column in (
+                releaser.trace.published,
+                releaser.trace.publication_budgets,
+                releaser.trace.dissimilarity_budgets,
+            ):
+                assert (
+                    len(column._pending)
+                    <= decisions_module.TRACE_PENDING_MAX
+                )
+        assert len(releaser.trace.published) == n
+
+    def test_pickling_and_snapshots_flush_pending(self):
+        import pickle
+
+        column = TraceColumn(dtype=np.float64)
+        column.append(1.0)
+        column.push(2.0)
+        restored = pickle.loads(pickle.dumps(column))
+        assert restored == [1.0, 2.0] and column == restored
+        restored.push(3.0)
+        assert list(restored) == [1.0, 2.0, 3.0]
+        assert list(column) == [1.0, 2.0]
+        releaser = BudgetDistribution(1.0, w=12).online_releaser(
+            N_TYPES, rng=2
+        )
+        for row in range(5):
+            releaser.step(np.full(N_TYPES, row % 2, dtype=float))
+        _published, _budgets, charges = releaser.snapshot()["trace"]
+        assert len(charges) == 5
